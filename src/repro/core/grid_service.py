@@ -34,7 +34,9 @@ event.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import (
+    Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import ExecutableRecord
@@ -50,6 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.onserve import OnServe
 
 __all__ = ["GridServiceRuntime", "InvocationReport"]
+
+#: What a completion-detection rung returns to the shared tail of
+#: ``_await_output``: ``(state, polls, batched, pushed, lost)``.
+Detection = Generator[Event, None, Tuple[str, int, bool, bool, bool]]
 
 
 class InvocationReport:
@@ -193,24 +199,18 @@ class GridServiceRuntime:
                           or cfg.db_replicas > 0)
             db_ctx = ctx if db_tier_on else None
             with span(ctx, "service:retrieval", executable=self.record.name):
-                if chunked:
-                    # Streamed retrieval: each decompressed chunk goes
-                    # straight from the DB fetch to the temp file, so
-                    # resident RAM stays O(chunk) instead of O(blob).
-                    def db_fetch():
-                        def to_temp(nbytes):
-                            yield host.disk_write(nbytes)
-                        with span(db_ctx, "db:fetch",
-                                  executable=self.record.name):
-                            return (yield self.onserve.dbmanager
-                                    .load_executable(self.record.name,
-                                                     on_chunk=to_temp))
-                else:
-                    def db_fetch():
-                        with span(db_ctx, "db:fetch",
-                                  executable=self.record.name):
-                            return (yield self.onserve.dbmanager
-                                    .load_executable(self.record.name))
+                # Streamed retrieval (chunked): each decompressed chunk
+                # goes straight from the DB fetch to the temp file, so
+                # resident RAM stays O(chunk) instead of O(blob).
+                def to_temp(nbytes):
+                    yield host.disk_write(nbytes)
+
+                def db_fetch():
+                    with span(db_ctx, "db:fetch",
+                              executable=self.record.name):
+                        return (yield self.onserve.dbmanager.load_executable(
+                            self.record.name,
+                            on_chunk=to_temp if chunked else None))
 
                 exe = yield from self.onserve.flights.do(
                     ("db-load", self.onserve.replica, self.record.name),
@@ -478,160 +478,122 @@ class GridServiceRuntime:
                       tag: str, job_id: str, report: InvocationReport,
                       ctx: Optional[RequestContext] = None
                       ) -> Generator[Event, None, bytes]:
-        """Completion detection, with and without the status workaround."""
+        """Detect completion on one rung of the ladder, then fetch output.
+
+        Rung precedence: clean status polling (ablation), push
+        notification on a notify-capable site, the per-site PollMux
+        (``datapath``), and the faithful tentative poll.  Every rung
+        ends in the same tail: mark detection, classify a lost or
+        unsuccessful job, fetch the final output once and write it to
+        local disk.
+        """
+        cfg = self.onserve.config
+        queue = self.onserve.notify_queue
+        if cfg.status_supported:
+            rung = self._detect_status
+        elif queue is not None and queue.site_capable(site):
+            rung = self._detect_notify
+        elif cfg.datapath:
+            rung = self._detect_mux
+        else:
+            rung = self._detect_tentative
+        state, polls, batched, pushed, lost = yield from rung(
+            session, site, spec.stdout_path(tag), job_id, ctx)
+        report.polls += polls
+        self._emit_detected(ctx, job_id, site, polls, batched=batched,
+                            pushed=pushed)
+        if lost:
+            # The gatekeeper lost the job record — same classification
+            # as the per-job path's raised lookup, so failover applies.
+            raise JobNotFound(f"gatekeeper has no record of job {job_id!r}")
+        if state != "done":
+            # A JobError (retryable): a crash-killed job may well
+            # succeed when resubmitted on another site.
+            raise JobError(f"grid job {job_id} ended {state}")
+        stub = self.onserve.agent_stub
+        output = yield stub.fetchOutput(session=session, site=site,
+                                        jobId=job_id, ctx=ctx)
+        yield self.onserve.host.disk_write(len(output))
+        if output and set(output) == {0}:
+            raise JobError(
+                f"grid job {job_id} produced no final output "
+                f"(failed on the grid?)")
+        return output
+
+    # -- completion-detection rungs (each only detects) ------------------------
+
+    def _detect_status(self, session: str, site: str, stdout_path: str,
+                       job_id: str, ctx: Optional[RequestContext]
+                       ) -> Detection:
+        """Ablation: clean status polling until a terminal state."""
+        cfg = self.onserve.config
+        stub = self.onserve.agent_stub
+        state, polls = yield poll_until(
+            self.sim,
+            poll_factory=lambda: stub.jobStatus(session=session, site=site,
+                                                jobId=job_id, ctx=ctx),
+            accept=lambda s: s in ("done", "failed", "canceled"),
+            interval=cfg.poll_interval,
+            timeout=cfg.watchdog_timeout)
+        return state, polls, False, False, False
+
+    def _detect_notify(self, session: str, site: str, stdout_path: str,
+                       job_id: str, ctx: Optional[RequestContext]
+                       ) -> Detection:
+        """Push path: park on the notify subscription.
+
+        The site's gatekeeper publishes the job's terminal state onto
+        the durable queue; the waiter wakes one propagation delay after
+        the job finished, under the same watchdog deadline as every
+        other rung — zero poller exchanges.
+        """
+        with span(ctx, "notify:await", site=site, job=job_id):
+            note = yield await_notification(
+                self.sim, self.onserve.notify_queue, site, job_id,
+                self.onserve.config.watchdog_timeout)
+        return note["state"], 0, False, True, bool(note["error"])
+
+    def _detect_mux(self, session: str, site: str, stdout_path: str,
+                    job_id: str, ctx: Optional[RequestContext]
+                    ) -> Detection:
+        """Batched data path: park on the per-site PollMux, which runs
+        one tentative poll covering every in-flight job on the site."""
+        result, polls = yield await_mux(
+            self.sim, self.onserve.poll_mux(site), job_id, stdout_path,
+            self.onserve.config.watchdog_timeout)
+        return "done", polls, True, False, bool(result["error"])
+
+    def _detect_tentative(self, session: str, site: str, stdout_path: str,
+                          job_id: str, ctx: Optional[RequestContext]
+                          ) -> Detection:
+        """Faithful workaround: tentatively fetch output every interval,
+        writing each (partial) result to local disk, until the stdout
+        file exists on the grid.  The last tentative fetch may predate
+        completion, so the shared tail fetches the final output."""
         cfg = self.onserve.config
         host = self.onserve.host
         stub = self.onserve.agent_stub
-
-        if cfg.status_supported:
-            # Ablation: clean status polling, output fetched exactly once.
-            def status_poll():
-                return stub.jobStatus(session=session, site=site,
-                                      jobId=job_id, ctx=ctx)
-
-            (state, polls) = yield poll_until(
-                self.sim,
-                poll_factory=status_poll,
-                accept=lambda s: s in ("done", "failed", "canceled"),
-                interval=cfg.poll_interval,
-                timeout=cfg.watchdog_timeout)
-            report.polls += polls
-            self._emit_detected(ctx, job_id, site, polls, batched=False)
-            if state != "done":
-                # A JobError (retryable): a crash-killed job may well
-                # succeed when resubmitted on another site.
-                raise JobError(f"grid job {job_id} ended {state}")
-            output = yield stub.fetchOutput(session=session, site=site,
-                                            jobId=job_id, ctx=ctx)
-            yield host.disk_write(len(output))
-            return output
-
-        queue = self.onserve.notify_queue
-        if queue is not None and queue.site_capable(site):
-            # Push path (the fallback ladder's top rung): the site's
-            # gatekeeper delivers the terminal state change to us —
-            # zero poller exchanges, detection lag = one propagation.
-            return (yield from self._await_output_notify(
-                queue, session, site, job_id, report, ctx))
-
-        if cfg.datapath:
-            # Batched data path: the per-site multiplexer detects
-            # completion for us; only the final fetch stays per-job.
-            return (yield from self._await_output_mux(
-                session, site, spec, tag, job_id, report, ctx))
-
-        # Faithful workaround: tentatively fetch output every interval,
-        # writing each (partial) result to local disk, until the stdout
-        # file exists on the grid.
-        stdout_path = spec.stdout_path(tag)
-        collected: Dict[str, bytes] = {"data": b""}
 
         def poll():
             def round_trip() -> Generator[Event, None, bool]:
                 data = yield stub.fetchOutput(session=session, site=site,
                                               jobId=job_id, ctx=ctx)
-                collected["data"] = data
                 if data:
                     # "the output of the running job is written to the
                     # hard disk" — every poll, the periodic write peaks.
                     yield host.disk_write(len(data))
-                ready = yield stub.outputReady(session=session, site=site,
-                                               path=stdout_path, ctx=ctx)
-                return ready
+                return (yield stub.outputReady(session=session, site=site,
+                                               path=stdout_path, ctx=ctx))
 
             return self.sim.process(round_trip(), name="tentative-poll")
 
-        (_ready, polls) = yield poll_until(
+        _, polls = yield poll_until(
             self.sim,
             poll_factory=poll,
             accept=lambda ready: bool(ready),
             interval=cfg.poll_interval,
             timeout=cfg.watchdog_timeout)
-        report.polls += polls
-        self._emit_detected(ctx, job_id, site, polls, batched=False)
-        # The last tentative fetch may predate completion; fetch final.
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
-
-    def _await_output_mux(self, session: str, site: str,
-                          spec: CyberaideJobSpec, tag: str, job_id: str,
-                          report: InvocationReport,
-                          ctx: Optional[RequestContext] = None
-                          ) -> Generator[Event, None, bytes]:
-        """Completion detection through the per-site PollMux.
-
-        The multiplexer runs one batched tentative poll covering every
-        in-flight job on the site; this waiter just parks on its event
-        (under the same watchdog deadline as the per-job loop) and then
-        performs the one per-job step that cannot batch — fetching the
-        final output.
-        """
-        cfg = self.onserve.config
-        host = self.onserve.host
-        stub = self.onserve.agent_stub
-        mux = self.onserve.poll_mux(site)
-        result, polls = yield await_mux(
-            self.sim, mux, job_id, spec.stdout_path(tag),
-            cfg.watchdog_timeout)
-        report.polls += polls
-        self._emit_detected(ctx, job_id, site, polls, batched=True)
-        if result["error"]:
-            # The gatekeeper lost the job record — same classification
-            # as the per-job path's raised lookup, so failover applies.
-            raise JobNotFound(
-                f"gatekeeper has no record of job {job_id!r}")
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
-
-    def _await_output_notify(self, queue, session: str, site: str,
-                             job_id: str, report: InvocationReport,
-                             ctx: Optional[RequestContext] = None
-                             ) -> Generator[Event, None, bytes]:
-        """Completion detection by subscription (the push path).
-
-        The notify-capable gatekeeper publishes the job's terminal
-        state onto the durable queue; this waiter parks on the
-        subscription — under the same watchdog deadline as every other
-        rung of the ladder — and wakes one propagation delay after the
-        job actually finished.  No tentative polls at all: the only
-        per-job exchange left is fetching the final output.
-        """
-        cfg = self.onserve.config
-        host = self.onserve.host
-        stub = self.onserve.agent_stub
-        with span(ctx, "notify:await", site=site, job=job_id):
-            note = yield await_notification(
-                self.sim, queue, site, job_id, cfg.watchdog_timeout)
-        self._emit_detected(ctx, job_id, site, polls=0, batched=False,
-                            pushed=True)
-        if note["error"]:
-            # The job manager lost the job and said so — same
-            # classification as the poll paths' lookup failure, so
-            # failover applies.
-            raise JobNotFound(
-                f"gatekeeper has no record of job {job_id!r}")
-        if note["state"] != "done":
-            raise JobError(f"grid job {job_id} ended {note['state']}")
-        output = yield stub.fetchOutput(session=session, site=site,
-                                        jobId=job_id, ctx=ctx)
-        yield host.disk_write(len(output))
-        if output and set(output) == {0}:
-            raise JobError(
-                f"grid job {job_id} produced no final output "
-                f"(failed on the grid?)")
-        return output
+        return "done", polls, False, False, False
 
     def _emit_detected(self, ctx: Optional[RequestContext], job_id: str,
                        site: str, polls: int, batched: bool,

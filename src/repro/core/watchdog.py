@@ -147,21 +147,10 @@ def await_mux(sim: Simulator, mux, key: Any, token: Any,
     """
     if timeout <= 0:
         raise ValueError("await_mux timeout must be positive")
-
-    def op() -> Generator[Event, None, Tuple[Any, int]]:
-        waiter = mux.register(key, token)
-        deadline = sim.timeout(timeout)
-        yield sim.any_of([waiter, deadline])
-        if waiter.triggered:
-            if waiter.ok:
-                return waiter.value
-            raise waiter.value
-        mux.unregister(key)
-        _abandon(waiter)
-        raise WatchdogTimeout(
-            f"multiplexed polling for {key!r} gave up ({timeout:.0f}s)")
-
-    return sim.process(op(), name=f"await-mux:{key}")
+    return _park(sim, lambda: mux.register(key, token),
+                 lambda waiter: mux.unregister(key), timeout,
+                 f"multiplexed polling for {key!r} gave up ({timeout:.0f}s)",
+                 name=f"await-mux:{key}")
 
 
 def await_notification(sim: Simulator, queue, site: str, job_id: str,
@@ -179,18 +168,32 @@ def await_notification(sim: Simulator, queue, site: str, job_id: str,
     """
     if timeout <= 0:
         raise ValueError("await_notification timeout must be positive")
+    return _park(sim, lambda: queue.subscribe(site, job_id),
+                 lambda waiter: queue.unsubscribe(job_id, waiter), timeout,
+                 f"notification for {job_id!r} never arrived ({timeout:.0f}s)",
+                 name=f"await-notify:{job_id}")
+
+
+def _park(sim: Simulator, register: Callable[[], Event],
+          unregister: Callable[[Event], None], timeout: float,
+          gave_up: str, name: str) -> Process:
+    """Park on the waiter *register* returns, under a *timeout* deadline.
+
+    The waiter's value (or failure) passes through as-is.  When the
+    deadline wins, the waiter is unregistered and defused, and
+    :class:`WatchdogTimeout` is raised with the *gave_up* message.
+    """
 
     def op() -> Generator[Event, None, Any]:
-        waiter = queue.subscribe(site, job_id)
+        waiter = register()
         deadline = sim.timeout(timeout)
         yield sim.any_of([waiter, deadline])
         if waiter.triggered:
             if waiter.ok:
                 return waiter.value
             raise waiter.value
-        queue.unsubscribe(job_id, waiter)
+        unregister(waiter)
         _abandon(waiter)
-        raise WatchdogTimeout(
-            f"notification for {job_id!r} never arrived ({timeout:.0f}s)")
+        raise WatchdogTimeout(gave_up)
 
-    return sim.process(op(), name=f"await-notify:{job_id}")
+    return sim.process(op(), name=name)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right, insort
 from typing import (
-    Any, Dict, Generator, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Generator, List, Optional, Sequence, Tuple,
 )
 
 from repro.core.context import RequestContext, span
@@ -234,7 +234,9 @@ class RequestRouter:
         self.failover_policy = failover_policy or RetryPolicy(
             max_attempts=3, base_delay=0.25, multiplier=2.0, max_delay=2.0)
         self._consecutive_faults: Dict[str, int] = {}
-        self._inflight_procs: Dict[str, Set[Process]] = {}
+        #: replica -> its proxy processes, in admission order (a dict,
+        #: not a set: crash interrupts must fire in a deterministic order).
+        self._inflight_procs: Dict[str, Dict[Process, None]] = {}
         #: Replicas declared dead or drained, parked for revival.
         self._dead: Dict[str, Replica] = {}
         self._drain_waiters: Dict[str, List[Event]] = {}
@@ -523,71 +525,11 @@ class RequestRouter:
         call over the router↔replica links, and relays the response —
         or the fault envelope — back to the client.
 
-        With ``self_healing=True`` the dispatch runs as an interruptible
-        sub-process so a replica crash can fail over mid-request (see
-        :meth:`_transport_healing`); otherwise the pre-healing direct
-        path runs, event-for-event identical to what it always was.
-        """
-        if self.self_healing:
-            return self._transport_healing(client, service_name, operation,
-                                           params, ctx)
-        return self._transport_direct(client, service_name, operation,
-                                      params, ctx)
+        Failures reach the client as typed faults after a fault envelope
+        goes on the wire: a replica's own fault is relayed as-is, and
+        running out of live replicas surfaces as :class:`ReplicaDown`.
 
-    def _transport_direct(self, client: Host, service_name: str,
-                          operation: str, params: Dict[str, Any],
-                          ctx: Optional[RequestContext] = None,
-                          ) -> Generator[Event, None, Any]:
-        request = SoapEnvelope.request(operation, params,
-                                       namespace=f"urn:repro:{service_name}")
-        # The hop span brackets the *entire* routed exchange — request
-        # envelope in, routing decision, proxied call, response (or
-        # fault) relay out — so every replica-side span nests under one
-        # parent and a cross-replica trace reads as a single tree.
-        with span(ctx, "router:hop", router=self.host.name,
-                  service=service_name) as hop:
-            yield client.send(self.host, request.size(),
-                              label=f"route-req:{service_name}.{operation}")
-            yield self.host.compute(self.ROUTE_CPU, tag="router")
-            replica = self.choose(service_name)
-            if hop is not None:
-                hop.meta["replica"] = replica.name
-            self.requests_routed += 1
-            self._admit(replica.name)
-            try:
-                with span(ctx, "router:route", replica=replica.name,
-                          service=service_name):
-                    if replica.onserve is not None:
-                        # Deploy-on-A / invoke-on-B: build the runtime
-                        # from the store before dispatching (free when
-                        # local).
-                        yield from replica.onserve.ensure_local_service(
-                            service_name, ctx)
-                    result = yield from replica.server.transport(
-                        self.host, service_name, operation, params, ctx)
-            except SoapFault as fault:
-                if is_retryable(fault):
-                    self.breakers.failure(replica.name)
-                else:
-                    self.breakers.success(replica.name)
-                yield from self._relay_fault(client, service_name,
-                                             operation, fault)
-                raise
-            finally:
-                self._release(replica.name)
-            self.breakers.success(replica.name)
-            response = SoapEnvelope.response(operation, result)
-            yield self.host.send(client, response.size(),
-                                 label=f"route-rsp:{service_name}.{operation}")
-        return result
-
-    def _transport_healing(self, client: Host, service_name: str,
-                           operation: str, params: Dict[str, Any],
-                           ctx: Optional[RequestContext] = None,
-                           ) -> Generator[Event, None, Any]:
-        """The self-healing routed round-trip.
-
-        Same wire shape as the direct path, with three additions:
+        With ``self_healing=True`` three additions switch on:
 
         * the replica dispatch runs in a sub-process the crash path can
           interrupt, and a :class:`ReplicaDown` (refused connection or
@@ -600,9 +542,17 @@ class RequestRouter:
           with a typed :class:`ServerOverloaded` once every live
           replica's admission queue is at ``shed_limit``, with
           router-level backpressure pacing admissions before that.
+
+        Without it the dispatch runs inline (no sub-process).  Dedup,
+        shedding and backpressure engage only when a store, a
+        ``shed_limit`` or a ``backpressure_threshold`` is configured.
         """
         request = SoapEnvelope.request(operation, params,
                                        namespace=f"urn:repro:{service_name}")
+        # The hop span brackets the *entire* routed exchange — request
+        # envelope in, routing decision, proxied call, response (or
+        # fault) relay out — so every replica-side span nests under one
+        # parent and a cross-replica trace reads as a single tree.
         with span(ctx, "router:hop", router=self.host.name,
                   service=service_name) as hop:
             yield client.send(self.host, request.size(),
@@ -618,7 +568,6 @@ class RequestRouter:
                     and operation not in self.READ_OPS):
                 dkey = f"{ctx.request_id}|{service_name}.{operation}"
             self.requests_routed += 1
-            rng = self.sim.rng.stream("router:failover")
             tried: List[str] = []
             attempt = 0
             while True:
@@ -658,15 +607,21 @@ class RequestRouter:
                 if hop is not None:
                     hop.meta["replica"] = replica.name
                 self._admit(replica.name)
-                proc = self.sim.process(
-                    self._proxy(replica, service_name, operation, params,
-                                ctx, dkey),
-                    name=f"router:proxy:{service_name}.{operation}")
-                self._inflight_procs.setdefault(replica.name,
-                                                set()).add(proc)
+                dispatch = self._proxy(replica, service_name, operation,
+                                       params, ctx, dkey)
+                proc = None
+                if self.self_healing:
+                    proc = self.sim.process(
+                        dispatch,
+                        name=f"router:proxy:{service_name}.{operation}")
+                    self._inflight_procs.setdefault(replica.name,
+                                                    {})[proc] = None
                 crash: Optional[ReplicaDown] = None
                 try:
-                    result = yield proc
+                    if proc is None:
+                        result = yield from dispatch
+                    else:
+                        result = yield proc
                 except Interrupt as intr:
                     cause = intr.cause
                     if not isinstance(cause, ReplicaDown):
@@ -676,8 +631,7 @@ class RequestRouter:
                     crash = exc
                 except SoapFault as fault:
                     # Application-level fault: the replica answered, so
-                    # it is alive — relay the fault as the direct path
-                    # would, never fail over on it.
+                    # it is alive — relay the fault, never fail over on it.
                     if is_retryable(fault):
                         self.breakers.failure(replica.name)
                     else:
@@ -689,7 +643,7 @@ class RequestRouter:
                 finally:
                     procs = self._inflight_procs.get(replica.name)
                     if procs is not None:
-                        procs.discard(proc)
+                        procs.pop(proc, None)
                     self._release(replica.name)
                 if crash is None:
                     self.breakers.success(replica.name)
@@ -714,7 +668,8 @@ class RequestRouter:
                               service=service_name, operation=operation,
                               from_replica=replica.name, attempt=attempt)
                 yield self.sim.timeout(
-                    self.failover_policy.backoff(attempt, rng=rng),
+                    self.failover_policy.backoff(
+                        attempt, rng=self.sim.rng.stream("router:failover")),
                     name="router:failover-backoff")
             response = SoapEnvelope.response(operation, result)
             yield self.host.send(client, response.size(),
@@ -726,8 +681,9 @@ class RequestRouter:
                dkey: Optional[str]) -> Generator[Event, None, Any]:
         """One dispatch attempt against one replica (interruptible).
 
-        Runs as its own process so :meth:`kill_inflight` can interrupt
-        it when the replica crashes.  A replica that already crashed
+        On a self-healing router it runs as its own process so
+        :meth:`kill_inflight` can interrupt it when the replica crashes;
+        otherwise :meth:`transport` runs it inline.  A replica that already crashed
         refuses the connection outright.  The dedup record is written in
         the same frame the replica's response returns — no yield in
         between — so a crash can never land between "executed" and
@@ -738,6 +694,8 @@ class RequestRouter:
         with span(ctx, "router:route", replica=replica.name,
                   service=service_name):
             if replica.onserve is not None:
+                # Deploy-on-A / invoke-on-B: build the runtime from the
+                # store before dispatching (free when local).
                 yield from replica.onserve.ensure_local_service(
                     service_name, ctx)
             result = yield from replica.server.transport(

@@ -44,6 +44,18 @@ def test_smoke_drill_is_deterministic():
     assert a.failovers == b.failovers
 
 
+def test_peak_crashes_are_repeatable_within_one_process():
+    """Full client load, two crashes, three runs in one interpreter.
+
+    Crash interrupts fire in admission order.  Were they to follow an
+    ``id()``-ordered container, the failover timeline would depend on
+    where the interpreter happened to place each proxy process, and
+    repeated runs would drift.
+    """
+    renders = {run_chaos(clients=48, rounds=1).render() for _ in range(3)}
+    assert len(renders) == 1, renders
+
+
 def test_render_mentions_the_gates(result):
     text = result.render()
     assert "Chaos drill" in text

@@ -303,3 +303,116 @@ def test_goldens_unchanged_with_control_tower_attached(name, monkeypatch):
     if any(ev.get("side") == "client" for ev in requests):
         assert tower.slo.samples_recorded > 0
     tower.close()
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_goldens_unchanged_with_every_plane_attached(name, monkeypatch):
+    """Every attach-but-disabled plane at once must not perturb a run.
+
+    The per-plane variants above prove each plane inert alone; this one
+    attaches them all to the same stack: a fault plane with zero specs,
+    inert client caches, the disabled GridFTP session pool, one idle
+    PollMux per site, a disabled router carrying the full self-healing
+    configuration, a notify queue with every gatekeeper incapable, MVCC
+    plus a disabled read replica, and a live-but-observing control
+    tower.  The committed goldens must still reproduce byte-for-byte,
+    and every plane's durable state must stay provably empty.
+    """
+    import repro.scenarios.common as common
+    from repro.core.registry import ServiceStateStore
+    from repro.db.replica import ReadReplica
+    from repro.faults.injector import fault_plane
+    from repro.grid.notify import (
+        JOB_STATES_TABLE, NOTIFY_QUEUE_TABLE, NotifyQueue,
+    )
+    from repro.telemetry.fleet import ControlTower
+    from repro.telemetry.profiler import KernelProfiler
+    from repro.telemetry.slo import BurnRule, SloSpec
+    from repro.ws.router import RequestRouter
+
+    class FaultAwareSimulator(common.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fault_plane(self)  # attached, zero specs => disabled
+
+    towers = []
+    stores = []
+    queues = []
+    replicas = []
+
+    def attach_planes(stack):
+        stack.enable_client_caches(enabled=False)
+        pool = stack.agent._ftp_sessions
+        assert pool is not None and not pool.enabled
+        for site in stack.testbed.gatekeepers:
+            mux = stack.onserve.poll_mux(site)
+            assert mux.pending == 0
+        # Disabled router carrying the *full* self-healing
+        # configuration (leases, dedup store, overload ladder):
+        # none of it may wake up on the faithful timeline.
+        store = ServiceStateStore(stack.dbmanager.db)
+        stores.append(store)
+        idle = RequestRouter(stack.appliance_host, stack.fabric,
+                             enabled=False, store=store,
+                             self_healing=True, lease_ttl=15.0,
+                             lease_check_interval=5.0,
+                             fault_threshold=2, shed_limit=8,
+                             backpressure_threshold=16)
+        idle.add_replica(stack.appliance_host.name,
+                         stack.soap_server, stack.onserve)
+        stack.onserve.router = idle
+        # Durable notify queue with every gatekeeper attached as
+        # *incapable*: publish is never called, so it schedules
+        # nothing and both durable tables must stay empty.
+        queue = NotifyQueue(stack.sim, stack.dbmanager.db)
+        queues.append(queue)
+        for gatekeeper in stack.testbed.gatekeepers.values():
+            gatekeeper.attach_notify(queue, capable=False)
+        stack.onserve.notify_queue = queue
+        # DB-scale plane: flip the live engine into MVCC mode
+        # (pure bookkeeping) and attach a *disabled* WAL-shipping
+        # replica — it must tap nothing and stay provably empty.
+        stack.dbmanager.db.mvcc = True
+        replicas.append(ReadReplica(
+            stack.sim, stack.dbmanager.db, lag=0.5, enabled=False))
+        towers.append(ControlTower(
+            stack.sim,
+            specs=[SloSpec("ci-availability", availability=0.99,
+                           compliance_window=600.0, min_samples=1)],
+            rules=(BurnRule(30.0, 120.0, 2.0),),
+            profiler=KernelProfiler(stack.sim)))
+
+    real_deploy = common.deploy_onserve
+
+    def caching_deploy(testbed, config=None, **kw):
+        proc = real_deploy(testbed, config, **kw)
+        proc.add_callback(
+            lambda ev: attach_planes(ev._value) if ev._ok else None)
+        return proc
+
+    monkeypatch.setattr(common, "Simulator", FaultAwareSimulator)
+    monkeypatch.setattr(common, "deploy_onserve", caching_deploy)
+    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
+    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
+    assert actual == golden, \
+        (f"{name} drifted with fault/cache/datapath/router/tower/notify "
+         f"planes attached")
+    assert towers[-1].profiler.events_dispatched > 0, \
+        f"{name}: the kernel profiler observed nothing"
+    assert stores[-1].members() == [], \
+        f"{name}: the idle healing plane leased members"
+    assert stores[-1].dedup_count() == 0, \
+        f"{name}: the idle healing plane recorded dedup rows"
+    assert queues[-1].published == 0, \
+        f"{name}: the incapable notify plane published"
+    assert queues[-1].db.select(
+        JOB_STATES_TABLE, lambda r: True) == [], \
+        f"{name}: job_states rows appeared on a faithful run"
+    assert queues[-1].db.select(
+        NOTIFY_QUEUE_TABLE, lambda r: True) == [], \
+        f"{name}: notify_queue rows appeared on a faithful run"
+    assert replicas[-1].db.tables == {}, \
+        f"{name}: the disabled replica materialized tables"
+    assert replicas[-1].backlog() == 0, \
+        f"{name}: the disabled replica buffered WAL records"
+    towers[-1].close()

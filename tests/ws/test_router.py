@@ -287,3 +287,46 @@ def test_ring_ownership_matches_sampled_owner_frequency():
     for node, arc in ownership.items():
         # 200 sampled keys land within a loose band of the exact arcs.
         assert abs(counts.get(node, 0) / len(KEYS) - arc) < 0.15
+
+
+@pytest.mark.parametrize("self_healing", [False, True])
+def test_no_live_replica_relays_a_typed_replica_down(self_healing):
+    """Every circuit open: the client gets a relayed ReplicaDown fault.
+
+    Healing or not, the router puts a fault envelope on the wire and
+    raises a typed :class:`SoapFault` whose root cause is ReplicaDown.
+    """
+    from repro.core.fabric import deploy_fabric
+    from repro.core.onserve import OnServeConfig
+    from repro.grid.testbed import build_testbed
+    from repro.ws.soap import SoapEnvelope
+
+    sim = Simulator(seed=0)
+    testbed = build_testbed(sim=sim, n_users=1)
+    stack = sim.run(until=deploy_fabric(testbed, OnServeConfig(),
+                                        replicas=2, router=True,
+                                        self_healing=self_healing))
+    router = stack.router
+    for name in router.replicas():
+        while router.breakers.allow(name):
+            router.breakers.failure(name)
+    network = router.host.network
+    sent_before = network.bytes_out(router.host.name)
+    caught = []
+
+    def call():
+        try:
+            yield from router.transport(testbed.user_hosts[0],
+                                        "HelloService", "execute", {})
+        except SoapFault as fault:
+            caught.append(fault)
+
+    sim.run(until=sim.process(call()))
+    assert len(caught) == 1
+    fault = caught[0]
+    assert fault.root_cause == "ReplicaDown"
+    assert isinstance(fault.__cause__, ReplicaDown)
+    relayed = network.bytes_out(router.host.name) - sent_before
+    assert relayed == SoapEnvelope.fault_response(fault).size()
+    if self_healing:
+        stack.stop_self_healing()
