@@ -12,8 +12,9 @@ This package implements the SaaS-to-JSE translation middleware:
   what the *generated* web service does when its ``execute`` operation
   is invoked (§VII.B: retrieve, authenticate, upload, describe, submit,
   poll, return),
-* :mod:`~repro.core.onserve` — the middleware facade + full-stack
-  deployment onto a testbed,
+* :mod:`~repro.core.onserve` — the middleware facade,
+* :mod:`~repro.core.fabric` — the one deployment routine (one appliance
+  or N replicas behind a router) and the :class:`OnServeStack` handle,
 * :mod:`~repro.core.portal` — the extended Cyberaide portal upload flow
   (§VII.A, with its faithful double disk write),
 * :mod:`~repro.core.invocation` — the *client-side* workflow: discover
@@ -38,7 +39,7 @@ _EXPORTS = {
     "ServiceBuilder": "repro.core.service_builder",
     "OnServe": "repro.core.onserve",
     "OnServeConfig": "repro.core.onserve",
-    "OnServeStack": "repro.core.onserve",
+    "OnServeStack": "repro.core.fabric",
     "deploy_onserve": "repro.core.onserve",
     "CyberaidePortal": "repro.core.portal",
     "discover_and_invoke": "repro.core.invocation",

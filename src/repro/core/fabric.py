@@ -1,7 +1,8 @@
-"""The replica fabric: N stateless onServe appliances behind a router.
+"""The one deployment routine: N stateless onServe appliances.
 
-:func:`deploy_fabric` generalizes :func:`~repro.core.onserve.deploy_onserve`
-from one virtual appliance to a sharded deployment (DESIGN.md §11):
+:func:`deploy_fabric` is the on-demand story of §V — build the appliance
+image, deploy it, wire every component, enrol the grid identity — for
+one appliance or a sharded deployment of N (DESIGN.md §11):
 
 * **N replica hosts** cloned from the testbed's appliance host, each
   with its own thin WAN uplink to the grid and its own LAN links, each
@@ -10,19 +11,20 @@ from one virtual appliance to a sharded deployment (DESIGN.md §11):
   endpoints),
 * **one shared DB tier** (:class:`~repro.db.dbmanager.DbManager` on the
   primary appliance host) holding the executables, the invocation
-  history and the :class:`~repro.core.registry.ServiceStateStore`
-  tables that make the replicas stateless,
+  history, the :class:`~repro.core.registry.ServiceStateStore` tables
+  that make the replicas stateless and, with ``config.notify``, the
+  durable job-state notification queue every replica reads,
 * **one shared UDDI registry** — still the placement source of truth
   clients discover through, and
-* **one request router host** fronting the replicas
+* **one request router** fronting the replicas
   (:class:`~repro.ws.router.RequestRouter`): generated services publish
   the *router* endpoint, so every invocation is hash-routed with
   breaker-aware skip and least-loaded spill.
 
-``deploy_fabric(replicas=1)`` (router off) delegates to the exact
-``deploy_onserve`` sequence and merely *constructs* a disabled router —
-the default single-appliance timeline stays byte-identical, which the
-golden guard asserts.
+:func:`~repro.core.onserve.deploy_onserve` is ``replicas=1`` with the
+router off: the router is merely *constructed*, disabled, so the
+single-appliance timeline stays byte-identical to the paper figures,
+which the golden tests assert.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.appliance.deploy import DeployedAppliance, deploy_image
 from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
-from repro.core.onserve import (
-    OnServe, OnServeConfig, OnServeStack, deploy_onserve,
-)
+from repro.core.onserve import OnServe, OnServeConfig
 from repro.core.registry import ServiceStateStore
 from repro.cyberaide.agent import AgentConfig, CyberaideAgent
 from repro.db.dbmanager import DbManager, DbTierConfig
@@ -49,26 +49,39 @@ from repro.ws.router import RequestRouter
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.uddi import UddiRegistry
 
-__all__ = ["FabricStack", "deploy_fabric"]
+__all__ = ["OnServeStack", "deploy_fabric"]
 
 
-class FabricStack(OnServeStack):
+class OnServeStack:
     """Everything :func:`deploy_fabric` brings up, in one handle.
 
-    Subclasses :class:`OnServeStack` — ``soap_server``, ``onserve`` etc.
-    refer to the *primary* replica, so every single-appliance consumer
-    (portal, scenarios, tests) works unchanged — and adds the fabric
-    surfaces: the replica list, the shared store and the router.
+    ``soap_server``, ``onserve``, ``agent`` and ``appliance`` refer to
+    the *primary* replica, so every single-appliance consumer (portal,
+    scenarios, tests) reads a one-replica fabric exactly like the lone
+    appliance it is; ``onserves``, ``router`` and ``store`` are the
+    fabric surfaces.
     """
 
-    def __init__(self, *args, onserves: List[OnServe],
+    def __init__(self, testbed: Testbed, appliance: DeployedAppliance,
+                 fabric: SoapFabric, uddi: UddiRegistry,
+                 dbmanager: DbManager, onserves: List[OnServe],
                  router: RequestRouter, store: ServiceStateStore,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
+                 user_clients: List[WsClient]):
+        self.testbed = testbed
+        self.sim = testbed.sim
+        self.appliance = appliance
+        self.fabric = fabric
+        self.uddi = uddi
+        self.dbmanager = dbmanager
         #: Every replica's OnServe, primary first.
         self.onserves = onserves
+        self.onserve = onserves[0]
+        self.soap_server = self.onserve.soap_server
+        self.agent = self.onserve.agent
         self.router = router
         self.store = store
+        self.user_clients = user_clients
+        self._client_caches: List = []
         # -- self-healing plane (inert until start_self_healing) ------
         self.self_healing = False
         self.heartbeat_interval = 5.0
@@ -77,6 +90,17 @@ class FabricStack(OnServeStack):
         self._last_remediation = None
         #: (ts, replica, action) remediation log.
         self.remediations: List = []
+
+    @property
+    def appliance_host(self) -> Host:
+        return self.testbed.appliance_host
+
+    @property
+    def portal(self):
+        from repro.core.portal import CyberaidePortal
+        if not hasattr(self, "_portal"):
+            self._portal = CyberaidePortal(self.onserve)
+        return self._portal
 
     @property
     def replica_hosts(self) -> List[Host]:
@@ -92,7 +116,7 @@ class FabricStack(OnServeStack):
 
     def start_self_healing(self,
                            heartbeat_interval: Optional[float] = None
-                           ) -> "FabricStack":
+                           ) -> "OnServeStack":
         """Arm the self-healing plane: leases + membership watchdog.
 
         Every replica starts a heartbeat process renewing its lease in
@@ -250,10 +274,14 @@ class FabricStack(OnServeStack):
         self.restart_replica(name)
 
     def inquiry_endpoint(self) -> str:
+        """Where clients reach the UDDI inquiry service: through the
+        router when it is enabled (discovery spreads over the replicas
+        too), else the primary replica's own endpoint."""
+        from repro.ws.uddi_service import UddiInquiryService
+        name = UddiInquiryService.SERVICE_NAME
         if self.router.enabled:
-            from repro.ws.uddi_service import UddiInquiryService
-            return self.router.endpoint_for(UddiInquiryService.SERVICE_NAME)
-        return super().inquiry_endpoint()
+            return self.router.endpoint_for(name)
+        return self.soap_server.endpoint_for(name)
 
     def attach_control_tower(self, specs=(), rules=None,
                              profiler: bool = False, **detector_kwargs):
@@ -275,18 +303,39 @@ class FabricStack(OnServeStack):
                             router=self.router, profiler=prof,
                             **detector_kwargs)
 
-    def _attach_cache_hooks(self, cache) -> None:
-        # Invalidation must reach a client cache no matter *which*
-        # replica undeploys or republishes a service.
-        for onserve in self.onserves:
-            onserve.soap_server.on_undeploy(cache.invalidate_service)
-            onserve.on_republish(cache.invalidate_service)
+    def enable_client_caches(self, ttl: Optional[float] = None,
+                             enabled: bool = True) -> List:
+        """Attach a discovery/WSDL/stub cache to every user client.
 
-    def _detach_cache_hooks(self, cache) -> None:
-        for onserve in self.onserves:
-            onserve.soap_server.remove_undeploy_listener(
-                cache.invalidate_service)
-            onserve.remove_republish_listener(cache.invalidate_service)
+        Each cache is wired into every replica's container undeploy hook
+        and onServe republish hook, so an undeployed or replaced service
+        is dropped from every client immediately, whichever replica
+        undeploys or republishes it — the invalidation contract of
+        DESIGN.md §9.  Returns the caches (one per client).
+        ``enabled=False`` attaches inert caches, which the golden-series
+        guard uses to prove attachment alone cannot perturb a run.
+
+        Idempotent: calling it again *replaces* the previous caches —
+        the old ones are detached from every client and every hook, so
+        repeated enabling can never stack stale caches or double-fire
+        invalidation listeners.
+        """
+        from repro.ws.cache import ClientCache
+        for cache in self._client_caches:
+            for onserve in self.onserves:
+                onserve.soap_server.remove_undeploy_listener(
+                    cache.invalidate_service)
+                onserve.remove_republish_listener(cache.invalidate_service)
+        kwargs = {} if ttl is None else {"ttl": ttl}
+        self._client_caches = []
+        for client in self.user_clients:
+            cache = ClientCache(self.sim, enabled=enabled, **kwargs)
+            client.cache = cache
+            for onserve in self.onserves:
+                onserve.soap_server.on_undeploy(cache.invalidate_service)
+                onserve.on_republish(cache.invalidate_service)
+            self._client_caches.append(cache)
+        return self._client_caches
 
 
 def _link_between(testbed: Testbed, a: str, b: str):
@@ -309,14 +358,18 @@ def deploy_fabric(testbed: Testbed,
                   fault_threshold: int = 2,
                   shed_limit: Optional[int] = None,
                   backpressure_threshold: Optional[int] = None) -> Process:
-    """Deploy a replicated onServe fabric onto *testbed* (a sim process).
+    """Deploy onServe onto *testbed* as *replicas* appliances (a sim process).
 
-    The process-event's value is a :class:`FabricStack`.  With
-    ``replicas=1`` and the router off (the default), the deployment is
-    the *exact* ``deploy_onserve`` sequence — byte-identical timeline —
-    with a disabled router attached for the golden guard to poke at.
+    The process-event's value is an :class:`OnServeStack`.  This is the
+    one deployment routine: ``deploy_onserve`` is ``replicas=1`` with
+    the router off, in which case the router is constructed on the
+    appliance host, disabled — it owns no endpoint and routes nothing —
+    and every service publishes the appliance's own endpoint.
     ``router=None`` enables the router automatically when ``replicas >
-    1``.
+    1``.  Passing a *dbmanager* (e.g. one recovered with
+    :meth:`~repro.db.dbmanager.DbManager.recover_from_crash`) redeploys
+    over existing data: the primary rebuilds and republishes every
+    stored executable's service.
 
     With ``self_healing=True`` (routed deployments) the stack arms the
     lease/failover plane after deployment: replicas heartbeat their
@@ -329,30 +382,11 @@ def deploy_fabric(testbed: Testbed,
         raise OnServeError("replicas must be >= 1")
     config = config or OnServeConfig()
     router_on = (replicas > 1) if router is None else bool(router)
+    if self_healing and not router_on:
+        raise OnServeError("self-healing needs the router enabled")
     sim = testbed.sim
 
-    if replicas == 1 and not router_on:
-        if self_healing:
-            raise OnServeError("self-healing needs the router enabled")
-        def passthrough() -> Generator[Event, None, FabricStack]:
-            stack = yield deploy_onserve(testbed, config, dbmanager)
-            # Attached-but-disabled: constructed, ringed, *not* in the
-            # fabric — it owns no endpoint and routes nothing.
-            idle = RequestRouter(stack.appliance_host, stack.fabric,
-                                 enabled=False,
-                                 spill_threshold=spill_threshold)
-            idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                             stack.onserve)
-            stack.onserve.router = idle
-            return FabricStack(
-                testbed, stack.appliance, stack.fabric, stack.soap_server,
-                stack.uddi, stack.dbmanager, stack.agent, stack.onserve,
-                stack.user_clients, onserves=[stack.onserve], router=idle,
-                store=stack.onserve.store)
-
-        return sim.process(passthrough(), name="deploy-fabric")
-
-    def op() -> Generator[Event, None, FabricStack]:
+    def op() -> Generator[Event, None, OnServeStack]:
         network = testbed.network
         primary = testbed.appliance_host
 
@@ -377,21 +411,26 @@ def deploy_fabric(testbed: Testbed,
                 network.connect(user.name, host.name, bandwidth=lan_bw,
                                 latency=lan_lat)
             hosts.append(host)
-        router_host = Host(sim, "router", network,
-                           router_spec or HostSpec(cores=4))
-        for peer in hosts + testbed.user_hosts:
-            network.connect(router_host.name, peer.name, bandwidth=lan_bw,
-                            latency=lan_lat)
+        # Only an enabled router gets a host of its own; a disabled one
+        # sits on the primary, off the network and out of the fabric.
+        router_host = primary
+        if router_on:
+            router_host = Host(sim, "router", network,
+                               router_spec or HostSpec(cores=4))
+            for peer in hosts + testbed.user_hosts:
+                network.connect(router_host.name, peer.name,
+                                bandwidth=lan_bw, latency=lan_lat)
 
-        # 1. One appliance image, deployed onto every replica host in
-        #    parallel (on-demand deployment, fabric-style).
+        # 1. Build the appliance image (the rBuilder step) and deploy it
+        #    on demand onto every replica host in parallel.  A lone
+        #    appliance waits on its own deploy directly: a composite
+        #    event would add one event to the paper-figure timelines.
         builder = ImageBuilder()
         for package in ONSERVE_PACKAGES():
             builder.provide(package)
         image = builder.build("cyberaide-onserve", ["cyberaide-onserve"])
         deploys = [deploy_image(image, host) for host in hosts]
-        results = yield sim.all_of(deploys)
-        appliances: List[DeployedAppliance] = [results[p] for p in deploys]
+        yield deploys[0] if replicas == 1 else sim.all_of(deploys)
 
         # 2. The shared tiers: endpoint fabric, UDDI, DB + state store.
         fabric = SoapFabric()
@@ -405,15 +444,17 @@ def deploy_fabric(testbed: Testbed,
                               replica_lag=config.db_replica_lag))
         store = ServiceStateStore(db.db, read_router=db.read_router)
 
-        # 3. Grid identity, once — replicas share the onserve principal.
+        # 3. Enrol the grid identity (certificate -> MyProxy ->
+        #    gridmaps), once: replicas share the onserve principal.
         testbed.new_grid_identity(config.grid_username,
                                   config.grid_passphrase)
 
-        # 4. Per-replica software stack.
+        # 4. Per-replica software stack: the agent, onServe, and the
+        #    registry's inquiry API and the management API as web
+        #    services of their own (jUDDI inquiry / portal management).
         from repro.core.management import ManagementService
         from repro.ws.uddi_service import UddiInquiryService
         onserves: List[OnServe] = []
-        servers: List[SoapServer] = []
         for host in hosts:
             soap_server = SoapServer(host, fabric)
             agent = CyberaideAgent(
@@ -431,7 +472,22 @@ def deploy_fabric(testbed: Testbed,
             soap_server.deploy(management.service_description(),
                                management.handler)
             onserves.append(onserve)
-            servers.append(soap_server)
+
+        if config.notify:
+            # Push path: one durable notification queue over the shared
+            # DB tier, read by every replica, each gatekeeper attached
+            # with its site's capability (heterogeneous on purpose —
+            # sites outside notify_sites keep the poll ladder).
+            from repro.grid.notify import NotifyQueue
+            queue = NotifyQueue(sim, db.db,
+                                propagation=config.notify_propagation,
+                                read_router=db.read_router)
+            for name, gatekeeper in testbed.gatekeepers.items():
+                capable = ("*" in config.notify_sites
+                           or name in config.notify_sites)
+                gatekeeper.attach_notify(queue, capable=capable)
+            for onserve in onserves:
+                onserve.notify_queue = queue
 
         # 5. The router endpoint over all replicas.
         request_router = RequestRouter(
@@ -445,8 +501,9 @@ def deploy_fabric(testbed: Testbed,
             fault_threshold=fault_threshold,
             shed_limit=shed_limit,
             backpressure_threshold=backpressure_threshold)
-        for onserve, server in zip(onserves, servers):
-            request_router.add_replica(onserve.replica, server, onserve)
+        for onserve in onserves:
+            request_router.add_replica(onserve.replica, onserve.soap_server,
+                                       onserve)
             onserve.router = request_router
 
         user_clients = [WsClient(host, fabric)
@@ -455,10 +512,8 @@ def deploy_fabric(testbed: Testbed,
             # Redeployment over recovered data: the primary rebuilds the
             # published surface; other replicas materialize on demand.
             yield onserves[0].restore_services()
-        stack = FabricStack(
-            testbed, appliances[0], fabric, servers[0], uddi, db,
-            onserves[0].agent, onserves[0], user_clients,
-            onserves=onserves, router=request_router, store=store)
+        stack = OnServeStack(testbed, deploys[0].value, fabric, uddi, db,
+                             onserves, request_router, store, user_clients)
         if self_healing:
             stack.start_self_healing()
         return stack

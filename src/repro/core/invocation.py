@@ -22,7 +22,7 @@ from repro.ws.client import WsClient, generate_stub
 from repro.ws.uddi_service import parse_binding_lines, parse_service_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.onserve import OnServeStack
+    from repro.core.fabric import OnServeStack
 
 __all__ = ["discover_service", "discover_and_invoke"]
 

@@ -7,10 +7,10 @@ implements §VII.A's "further treatment" (storage, service build,
 publishing); the generated services themselves run
 :class:`~repro.core.grid_service.GridServiceRuntime`.
 
-:func:`deploy_onserve` is the on-demand story of §V: build the appliance
-image, deploy it onto the testbed's appliance host, boot the packages,
-wire up every component, enrol the grid identity — and hand back a
-ready-to-use :class:`OnServeStack`.
+:func:`deploy_onserve` is the on-demand story of §V for one appliance:
+a one-replica :func:`~repro.core.fabric.deploy_fabric`, the single
+routine that builds the image, deploys it, wires every component and
+enrols the grid identity.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Generator, List, Optional
 
-from repro.appliance.deploy import DeployedAppliance, deploy_image
-from repro.appliance.image import ImageBuilder, ONSERVE_PACKAGES
 from repro.core.coalesce import SingleFlight
 from repro.core.context import RequestContext, span
 from repro.core.datastructures import (
@@ -28,9 +26,9 @@ from repro.core.datastructures import (
 from repro.core.grid_service import GridServiceRuntime
 from repro.core.registry import ServiceStateStore
 from repro.core.service_builder import ServiceBuilder
-from repro.cyberaide.agent import AgentConfig, CyberaideAgent
+from repro.cyberaide.agent import CyberaideAgent
 from repro.cyberaide.jobspec import staged_path_for
-from repro.db.dbmanager import DbManager, DbTierConfig
+from repro.db.dbmanager import DbManager
 from repro.errors import OnServeError, ServiceNotFound, UddiError, UploadError
 from repro.grid.testbed import Testbed
 from repro.hardware.host import Host
@@ -43,32 +41,37 @@ from repro.ws.client import WsClient, generate_stub
 from repro.ws.server import SoapFabric, SoapServer
 from repro.ws.uddi import UddiRegistry
 
-__all__ = ["OnServeConfig", "OnServe", "OnServeStack", "deploy_onserve"]
+__all__ = ["OnServeConfig", "OnServe", "deploy_onserve"]
 
 
 class OnServeConfig:
     """All tunables of the middleware (ablation flags included)."""
+
+    #: Fixed job-submission and portal costs: class constants, read
+    #: through the instance like every tunable.
+    default_queue = "normal"
+    default_count = 1
+    #: CPU for RSL generation + submission bookkeeping (2nd CPU peak).
+    submit_cpu = 0.25
+    portal_cpu_fixed = 0.15
+    portal_cpu_per_mb = 0.01
+    form_overhead_bytes = 2048
+    #: Exponential backoff factor of the shared retry policy.
+    retry_multiplier = 2.0
 
     def __init__(self,
                  grid_username: str = "onserve",
                  grid_passphrase: str = "appliance-secret",
                  poll_interval: float = 9.0,
                  watchdog_timeout: float = 6 * 3600.0,
-                 default_queue: str = "normal",
                  default_walltime: int = 3600,
-                 default_count: int = 1,
-                 submit_cpu: float = 0.25,
                  session_renewal: float = 3600.0,
-                 portal_cpu_fixed: float = 0.15,
-                 portal_cpu_per_mb: float = 0.01,
-                 form_overhead_bytes: int = 2048,
                  double_write: bool = True,
                  upload_cache: bool = False,
                  status_supported: bool = False,
                  site_policy: str = "best",
                  retry_max_attempts: int = 3,
                  retry_base_delay: float = 2.0,
-                 retry_multiplier: float = 2.0,
                  retry_max_delay: float = 30.0,
                  retry_jitter: float = 0.0,
                  breaker_failure_threshold: int = 3,
@@ -105,15 +108,8 @@ class OnServeConfig:
         #: Tentative-poll period (the "relative constant interval").
         self.poll_interval = poll_interval
         self.watchdog_timeout = watchdog_timeout
-        self.default_queue = default_queue
         self.default_walltime = default_walltime
-        self.default_count = default_count
-        #: CPU for RSL generation + submission bookkeeping (2nd CPU peak).
-        self.submit_cpu = submit_cpu
         self.session_renewal = session_renewal
-        self.portal_cpu_fixed = portal_cpu_fixed
-        self.portal_cpu_per_mb = portal_cpu_per_mb
-        self.form_overhead_bytes = form_overhead_bytes
         #: Faithful flaw: uploads hit the disk twice (temp, then DB).
         #: False is the "may be improved" ablation (§VIII.D.3).
         self.double_write = double_write
@@ -129,7 +125,6 @@ class OnServeConfig:
         #: Resilience: retry policy for transient agent/grid/db calls.
         self.retry_max_attempts = retry_max_attempts
         self.retry_base_delay = retry_base_delay
-        self.retry_multiplier = retry_multiplier
         self.retry_max_delay = retry_max_delay
         self.retry_jitter = retry_jitter
         #: Resilience: per-site circuit breakers.
@@ -207,8 +202,8 @@ class OnServe:
     def __init__(self, host: Host, soap_server: SoapServer,
                  fabric: SoapFabric, uddi: UddiRegistry,
                  dbmanager: DbManager, agent: CyberaideAgent,
-                 config: Optional[OnServeConfig] = None,
-                 store: Optional[ServiceStateStore] = None):
+                 config: Optional[OnServeConfig] = None, *,
+                 store: ServiceStateStore):
         self.host = host
         self.sim = host.sim
         self.soap_server = soap_server
@@ -220,14 +215,12 @@ class OnServe:
         self.builder = ServiceBuilder(host, soap_server)
         #: This replica's identity in the fabric (the host name).
         self.replica = host.name
-        #: The replicated source of truth for service/deployment state.
-        #: A lone appliance creates its own store over its own database;
-        #: ``deploy_fabric`` passes one shared store to every replica.
-        self.store = store if store is not None \
-            else ServiceStateStore(dbmanager.db,
-                                   read_router=dbmanager.read_router)
-        #: Set by ``deploy_fabric`` when a request router fronts this
-        #: replica; generated services then publish the router endpoint.
+        #: The replicated source of truth for service/deployment state,
+        #: one store over the shared DB tier for every replica.
+        self.store = store
+        #: The request router ``deploy_fabric`` puts in front of this
+        #: replica; when it is enabled, generated services publish the
+        #: router endpoint.
         self.router = None
         #: Observability plane: middleware milestones become events.
         self.bus = bus(self.sim)
@@ -291,7 +284,7 @@ class OnServe:
         #: mode); created lazily, schedules nothing while unused.
         self._poll_muxes: Dict[str, "PollMux"] = {}
         #: The durable job-state notification queue (push path), wired
-        #: by ``deploy_onserve`` when ``config.notify`` is set — or
+        #: by ``deploy_fabric`` when ``config.notify`` is set — or
         #: attached externally (the golden guard attaches one with zero
         #: capable sites to prove it is byte-invisible).  The runtime
         #: takes the push rung only for sites the queue marks capable.
@@ -444,14 +437,6 @@ class OnServe:
         service.
         """
         service_name = existing.service_name
-        runtime = self.runtimes.get(service_name)
-        if runtime is not None:
-            runtime.record = record
-        try:
-            self.soap_server.update_description(
-                service_name, self.builder.description_for(record))
-        except ServiceNotFound:
-            pass  # not materialized on this replica; nothing deployed
         try:
             self.uddi.get_service(existing.uddi_service_key).description = \
                 record.description
@@ -461,11 +446,33 @@ class OnServe:
         self.bus.emit("core.service_republished", layer="core",
                       service=service_name, executable=record.name,
                       size=record.size)
+        self._refresh_local(service_name, record)
+        # Every other replica refreshes its own copy the same way.
+        self.store.record_republished(service_name, origin=self.replica)
+
+    def _refresh_local(self, service_name: str,
+                       record: ExecutableRecord) -> None:
+        """Refresh this replica's copy of a replaced service in place.
+
+        The one republish path, run by the origin replica and by every
+        replica the store fans the replacement out to: the runtime's
+        record and the container's deployed interface take the new
+        record (a replica that never materialized the service has
+        neither), then republish listeners — client caches — drop it.
+        The runtime and its container entry stay deployed throughout,
+        so an invocation already routed here dispatches to the fresh
+        interface instead of faulting on a torn-down service.
+        """
+        runtime = self.runtimes.get(service_name)
+        if runtime is not None:
+            runtime.record = record
+        try:
+            self.soap_server.update_description(
+                service_name, self.builder.description_for(record))
+        except ServiceNotFound:
+            pass  # not materialized on this replica; nothing deployed
         for listener in list(self._republish_listeners):
             listener(service_name)
-        # Other replicas drop their stale materializations of this
-        # service; the next request there rebuilds from the fresh row.
-        self.store.record_republished(service_name, origin=self.replica)
 
     def on_republish(self, listener) -> None:
         """Register *listener(service_name)* to run after a replacement
@@ -586,12 +593,8 @@ class OnServe:
                 service_name = service_name_for(row["name"])
                 if service_name in self.services:
                     continue
-                record = ExecutableRecord(
-                    row["name"], row["description"],
-                    parse_params_spec(row["params_spec"]),
-                    size=row["size"], uploaded_by="restore",
-                    uploaded_at=row["stored_at"])
-                service = yield from self._build_and_publish(record)
+                service = yield from self._build_and_publish(
+                    self._record_from_row(row, uploaded_by="restore"))
                 restored.append(service.service_name)
             return restored
 
@@ -705,11 +708,7 @@ class OnServe:
             raise ServiceNotFound(
                 f"service {service_name!r} lost its executable "
                 f"{row['executable_name']!r}") from None
-        record = ExecutableRecord(
-            exe["name"], exe["description"],
-            parse_params_spec(exe["params_spec"]),
-            size=exe["size"], uploaded_by="materialize",
-            uploaded_at=exe["stored_at"])
+        record = self._record_from_row(exe, uploaded_by="materialize")
         runtime = GridServiceRuntime(self, record)
         pending = self.sim.event(f"materialize:{service_name}")
         self._materializing[service_name] = pending
@@ -762,12 +761,37 @@ class OnServe:
             self._cascading = None
 
     def _on_store_republished(self, service_name: str) -> None:
-        """Another replica replaced the bytes/spec: drop any stale local
-        materialization (the next request rebuilds from the fresh row)
-        and invalidate this replica's client caches."""
-        self._on_store_removed(service_name)
-        for listener in list(self._republish_listeners):
-            listener(service_name)
+        """Another replica replaced the bytes/spec of *service_name*.
+
+        A materialized copy refreshes in place from the fresh
+        executables row (:meth:`_refresh_local`); one being built from
+        the old row refreshes the moment its build lands.  A replica
+        holding no copy has nothing to refresh — its next request
+        materializes from the fresh row — and only invalidates its
+        client caches.
+        """
+        pending = self._materializing.get(service_name)
+        if pending is not None:
+            pending.add_callback(
+                lambda _: self._on_store_republished(service_name))
+            return
+        runtime = self.runtimes.get(service_name)
+        if runtime is None:
+            for listener in list(self._republish_listeners):
+                listener(service_name)
+            return
+        exe = self.dbmanager.db.get_by_pk(self.dbmanager.TABLE,
+                                          runtime.record.name)
+        self._refresh_local(service_name, self._record_from_row(
+            exe, uploaded_by="materialize"))
+
+    @staticmethod
+    def _record_from_row(row, uploaded_by: str) -> ExecutableRecord:
+        """An :class:`ExecutableRecord` rebuilt from an executables row."""
+        return ExecutableRecord(
+            row["name"], row["description"],
+            parse_params_spec(row["params_spec"]), size=row["size"],
+            uploaded_by=uploaded_by, uploaded_at=row["stored_at"])
 
     def undeploy_service(self, service_name: str) -> Process:
         """Remove a generated service everywhere (SOAP, UDDI, DB).
@@ -798,172 +822,18 @@ class OnServe:
         return f"<OnServe services={sorted(self.services)}>"
 
 
-class OnServeStack:
-    """Everything a deployed onServe brings up, in one handle."""
-
-    def __init__(self, testbed: Testbed, appliance: DeployedAppliance,
-                 fabric: SoapFabric, soap_server: SoapServer,
-                 uddi: UddiRegistry, dbmanager: DbManager,
-                 agent: CyberaideAgent, onserve: OnServe,
-                 user_clients: List[WsClient]):
-        self.testbed = testbed
-        self.sim = testbed.sim
-        self.appliance = appliance
-        self.fabric = fabric
-        self.soap_server = soap_server
-        self.uddi = uddi
-        self.dbmanager = dbmanager
-        self.agent = agent
-        self.onserve = onserve
-        self.user_clients = user_clients
-
-    @property
-    def portal(self):
-        from repro.core.portal import CyberaidePortal
-        if not hasattr(self, "_portal"):
-            self._portal = CyberaidePortal(self.onserve)
-        return self._portal
-
-    def inquiry_endpoint(self) -> str:
-        """Where clients reach the UDDI inquiry service.
-
-        The fabric stack overrides this to the router endpoint so
-        discovery traffic spreads over the replicas too.
-        """
-        from repro.ws.uddi_service import UddiInquiryService
-        return self.soap_server.endpoint_for(UddiInquiryService.SERVICE_NAME)
-
-    def enable_client_caches(self, ttl: Optional[float] = None,
-                             enabled: bool = True) -> List:
-        """Attach a discovery/WSDL/stub cache to every user client.
-
-        Each cache is wired into the container's undeploy hook and
-        onServe's republish hook, so an undeployed or replaced service
-        is dropped from every client immediately — the invalidation
-        contract of DESIGN.md §9.  Returns the caches (one per client).
-        ``enabled=False`` attaches inert caches, which the golden-series
-        guard uses to prove attachment alone cannot perturb a run.
-
-        Idempotent: calling it again *replaces* the previous caches —
-        the old ones are detached from every client and every hook, so
-        repeated enabling can never stack stale caches or double-fire
-        invalidation listeners.
-        """
-        from repro.ws.cache import ClientCache
-        self._detach_client_caches()
-        caches = []
-        for client in self.user_clients:
-            kwargs = {} if ttl is None else {"ttl": ttl}
-            cache = ClientCache(self.sim, enabled=enabled, **kwargs)
-            client.cache = cache
-            self._attach_cache_hooks(cache)
-            caches.append(cache)
-        self._client_caches = caches
-        return caches
-
-    def _attach_cache_hooks(self, cache) -> None:
-        """Wire one cache into the invalidation hooks (overridable)."""
-        self.soap_server.on_undeploy(cache.invalidate_service)
-        self.onserve.on_republish(cache.invalidate_service)
-
-    def _detach_cache_hooks(self, cache) -> None:
-        self.soap_server.remove_undeploy_listener(cache.invalidate_service)
-        self.onserve.remove_republish_listener(cache.invalidate_service)
-
-    def _detach_client_caches(self) -> None:
-        for cache in getattr(self, "_client_caches", []):
-            self._detach_cache_hooks(cache)
-        for client in self.user_clients:
-            client.cache = None
-        self._client_caches = []
-
-    @property
-    def appliance_host(self) -> Host:
-        return self.testbed.appliance_host
-
-
 def deploy_onserve(testbed: Testbed,
                    config: Optional[OnServeConfig] = None,
                    dbmanager: Optional[DbManager] = None) -> Process:
-    """Deploy the whole onServe stack onto *testbed* (a sim process).
+    """Deploy one onServe appliance onto *testbed* (a sim process).
 
-    The process-event's value is an :class:`OnServeStack`.  Passing a
-    *dbmanager* (e.g. one recovered with
+    A one-replica :func:`~repro.core.fabric.deploy_fabric` with the
+    router off; the process-event's value is the
+    :class:`~repro.core.fabric.OnServeStack`.  Passing a *dbmanager*
+    (e.g. one recovered with
     :meth:`~repro.db.dbmanager.DbManager.recover_from_crash`) redeploys
     an appliance over existing data: every stored executable's service
     is rebuilt and republished automatically.
     """
-    config = config or OnServeConfig()
-    sim = testbed.sim
-
-    def op() -> Generator[Event, None, OnServeStack]:
-        # 1. Build the appliance image (the rBuilder step).
-        builder = ImageBuilder()
-        for package in ONSERVE_PACKAGES():
-            builder.provide(package)
-        image = builder.build("cyberaide-onserve", ["cyberaide-onserve"])
-
-        # 2. On-demand deployment onto the appliance host.
-        appliance = yield deploy_image(image, testbed.appliance_host)
-
-        # 3. Wire the software stack.
-        fabric = SoapFabric()
-        soap_server = SoapServer(testbed.appliance_host, fabric)
-        uddi = UddiRegistry()
-        db = dbmanager if dbmanager is not None \
-            else DbManager(testbed.appliance_host,
-                           tier=DbTierConfig(
-                               mvcc=config.db_mvcc,
-                               serialize=config.db_serialize,
-                               chunk_bytes=config.db_chunk_bytes,
-                               replicas=config.db_replicas,
-                               replica_lag=config.db_replica_lag))
-        agent = CyberaideAgent(
-            testbed.appliance_host, testbed,
-            AgentConfig(status_supported=config.status_supported,
-                        session_reuse=config.datapath,
-                        ftp_idle_timeout=config.ftp_session_idle))
-        soap_server.deploy(agent.service_description(), agent.handler)
-
-        # 4. Enrol the appliance's grid identity (certificate -> MyProxy
-        #    -> gridmaps), the once-per-user out-of-band step.
-        testbed.new_grid_identity(config.grid_username,
-                                  config.grid_passphrase)
-
-        onserve = OnServe(testbed.appliance_host, soap_server, fabric,
-                          uddi, db, agent, config)
-
-        if config.notify:
-            # Push path: one durable notification queue over the DB
-            # tier, each gatekeeper attached with its site's capability
-            # (heterogeneous on purpose — sites outside notify_sites
-            # keep the poll ladder).
-            from repro.grid.notify import NotifyQueue
-            queue = NotifyQueue(sim, db.db,
-                                propagation=config.notify_propagation,
-                                read_router=db.read_router)
-            for name, gatekeeper in testbed.gatekeepers.items():
-                capable = ("*" in config.notify_sites
-                           or name in config.notify_sites)
-                gatekeeper.attach_notify(queue, capable=capable)
-            onserve.notify_queue = queue
-
-        # Publish the registry's inquiry API and the management API as
-        # web services of their own (jUDDI inquiry / portal management).
-        from repro.core.management import ManagementService
-        from repro.ws.uddi_service import UddiInquiryService
-        inquiry = UddiInquiryService(uddi)
-        soap_server.deploy(inquiry.service_description(), inquiry.handler)
-        management = ManagementService(onserve)
-        soap_server.deploy(management.service_description(),
-                           management.handler)
-
-        user_clients = [WsClient(host, fabric)
-                        for host in testbed.user_hosts]
-        if dbmanager is not None:
-            # Redeployment over recovered data: bring the services back.
-            yield onserve.restore_services()
-        return OnServeStack(testbed, appliance, fabric, soap_server, uddi,
-                            db, agent, onserve, user_clients)
-
-    return sim.process(op(), name="deploy-onserve")
+    from repro.core.fabric import deploy_fabric
+    return deploy_fabric(testbed, config, dbmanager)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.onserve import OnServeConfig, OnServeStack, deploy_onserve
+from repro.core.fabric import OnServeStack
+from repro.core.onserve import OnServeConfig, deploy_onserve
 from repro.grid.testbed import Testbed, build_testbed
 from repro.simkernel.kernel import Simulator
 from repro.telemetry.sampler import HostSampler

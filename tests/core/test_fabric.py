@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fabric import FabricStack, deploy_fabric
+from repro.core.fabric import OnServeStack, deploy_fabric
 from repro.core.invocation import discover_and_invoke
 from repro.core.onserve import OnServeConfig
 from repro.errors import OnServeError
@@ -36,7 +36,7 @@ def test_replicas_must_be_positive():
 
 def test_single_replica_passthrough_keeps_direct_endpoints():
     sim, testbed, stack = deploy(replicas=1)
-    assert isinstance(stack, FabricStack)
+    assert isinstance(stack, OnServeStack)
     assert not stack.router.enabled
     assert stack.replica_hosts[0] is stack.appliance_host
     service = publish(sim, testbed, stack)
@@ -102,21 +102,92 @@ def test_cross_replica_undeploy_invalidates_everywhere():
         assert "RouteService" not in onserve.soap_server.services()
 
 
-def test_replacement_upload_drops_stale_materializations():
+def test_replacement_upload_refreshes_materialized_replicas_in_place():
     sim, testbed, stack = deploy(replicas=2)
     publish(sim, testbed, stack)
-    sim.run(until=sim.process(
-        stack.onserves[1].ensure_local_service("RouteService")))
-    assert "RouteService" in stack.onserves[1].services
-    # Re-uploading the same filename republishes in place on the
-    # primary; the store fan-out must drop replica 1's stale runtime.
+    replica = stack.onserves[1]
+    sim.run(until=sim.process(replica.ensure_local_service("RouteService")))
+    runtime = replica.runtimes["RouteService"]
+    # Re-uploading the same filename republishes on the primary; the
+    # store fan-out refreshes replica 1's copy in place — same runtime,
+    # still deployed — with the new size and parameter spec.
+    payload = make_payload("fixed", size=int(KB(48)), runtime="2",
+                           output_bytes="64")
+    sim.run(until=stack.portal.upload_and_generate(
+        testbed.user_hosts[0], "route.bin", payload,
+        params_spec="label:string"))
+    assert replica.runtimes["RouteService"] is runtime
+    assert "RouteService" in replica.soap_server.services()
+    assert runtime.record.size == len(payload)
+    assert [p.name for p in runtime.record.params] == ["label"]
+    execute = replica.soap_server.service(
+        "RouteService").description.operation("execute")
+    assert [p.name for p in execute.params] == ["label"]
+
+
+def test_republish_during_materialization_refreshes_once_built():
+    sim, testbed, stack = deploy(replicas=2)
     publish(sim, testbed, stack)
-    assert "RouteService" not in stack.onserves[1].services
-    assert "RouteService" not in stack.onserves[1].soap_server.services()
-    # It materializes again on demand, from the fresh record.
-    sim.run(until=sim.process(
-        stack.onserves[1].ensure_local_service("RouteService")))
-    assert "RouteService" in stack.onserves[1].services
+    replica = stack.onserves[1]
+    # The replacement commits while replica 1 is still building its copy
+    # from the old row; the copy must come up with the new record.
+    build = sim.process(replica.ensure_local_service("RouteService"))
+    payload = make_payload("fixed", size=int(KB(48)), runtime="2",
+                           output_bytes="64")
+    upload = stack.onserve.generate_service("route.bin", payload,
+                                            params_spec="label:string")
+    sim.run(until=upload)
+    assert "RouteService" in replica._materializing
+    sim.run(until=build)
+    record = replica.runtimes["RouteService"].record
+    assert record.size == len(payload)
+    assert [p.name for p in record.params] == ["label"]
+
+
+def test_republish_between_materialize_and_dispatch_serves_the_call():
+    """A replacement landing while a routed call is in flight to another
+    replica — after that replica materialized the service, before the
+    proxied request dispatches — must not fault the call."""
+    sim, testbed, stack = deploy(replicas=2)
+    publish(sim, testbed, stack)
+    serving = stack.onserve_for(
+        stack.router.ring.preference("RouteService")[0])
+    assert serving is not stack.onserve  # materializes on first call
+    real_ensure = serving.ensure_local_service
+    payload = make_payload("fixed", size=int(KB(40)), runtime="2",
+                           output_bytes="64")
+    republished = []
+
+    def ensure_then_republish(service_name, ctx=None):
+        yield from real_ensure(service_name, ctx)
+        if service_name == "RouteService" and not republished:
+            republished.append(sim.now)
+            yield stack.onserve.generate_service("route.bin", payload)
+
+    serving.ensure_local_service = ensure_then_republish
+    result = sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Route%"))
+    assert result
+    assert republished
+    assert serving.runtimes["RouteService"].record.size == len(payload)
+
+
+def test_routed_fabric_honours_notify():
+    from repro.telemetry.events import bus
+    config = OnServeConfig(notify=True, notify_sites=("*",))
+    sim, testbed, stack = deploy(replicas=2, config=config)
+    publish(sim, testbed, stack)
+    result = sim.run(until=discover_and_invoke(
+        stack, stack.user_clients[0], "Route%"))
+    assert result
+    # One durable queue over the shared DB, read by every replica.
+    queue = stack.onserve.notify_queue
+    assert queue is not None
+    assert all(o.notify_queue is queue for o in stack.onserves)
+    assert queue.published > 0 and queue.depth == 0
+    # Detection came by push: zero poll rounds.
+    detected = bus(sim).first("core.output_detected")
+    assert detected.fields["pushed"] and detected.fields["polls"] == 0
 
 
 def test_invocation_counts_are_fabric_wide():

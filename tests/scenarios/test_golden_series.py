@@ -25,6 +25,12 @@ FIGURES = {
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_figure_series_match_committed_goldens(name):
+    """The stock deployment reproduces the committed series.
+
+    ``deploy_onserve`` is a one-replica ``deploy_fabric`` that
+    constructs a disabled request router — ringed, wired to the OnServe,
+    owning no endpoint — so this also proves the idle router inert.
+    """
     golden_path = GOLDEN_DIR / f"{name}.csv"
     golden = golden_path.read_text()
     result = FIGURES[name](seed=0)
@@ -61,45 +67,6 @@ def test_goldens_unchanged_with_inert_cache_layer(name, monkeypatch):
     assert actual == golden, (
         f"{name} drifted with inert client caches attached — the "
         f"disabled cache layer perturbed the simulation")
-
-
-@pytest.mark.parametrize("name", sorted(FIGURES))
-def test_goldens_unchanged_with_idle_router_attached(name, monkeypatch):
-    """An attached-but-disabled request router must not perturb a run.
-
-    The replica-fabric determinism contract (DESIGN.md §11): a disabled
-    :class:`~repro.ws.router.RequestRouter` is constructed, ringed and
-    wired to the OnServe — exactly what ``deploy_fabric(replicas=1)``
-    does — but owns no fabric endpoint and creates zero simulation
-    events.  Re-running each figure with one attached must therefore
-    reproduce the committed goldens byte-for-byte.
-    """
-    import repro.scenarios.common as common
-    from repro.ws.router import RequestRouter
-
-    real_deploy = common.deploy_onserve
-
-    def attach_idle_router(ev):
-        if not ev._ok:
-            return
-        stack = ev._value
-        idle = RequestRouter(stack.appliance_host, stack.fabric,
-                             enabled=False)
-        idle.add_replica(stack.appliance_host.name, stack.soap_server,
-                         stack.onserve)
-        stack.onserve.router = idle
-
-    def routed_deploy(testbed, config=None, **kw):
-        proc = real_deploy(testbed, config, **kw)
-        proc.add_callback(attach_idle_router)
-        return proc
-
-    monkeypatch.setattr(common, "deploy_onserve", routed_deploy)
-    golden = (GOLDEN_DIR / f"{name}.csv").read_text()
-    actual = to_csv(FIGURES[name](seed=0).series) + "\n"
-    assert actual == golden, (
-        f"{name} drifted with a disabled router attached — the idle "
-        f"routing layer perturbed the simulation")
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
@@ -309,8 +276,8 @@ def test_goldens_unchanged_with_control_tower_attached(name, monkeypatch):
 def test_goldens_unchanged_with_every_plane_attached(name, monkeypatch):
     """Every attach-but-disabled plane at once must not perturb a run.
 
-    The per-plane variants above prove each plane inert alone; this one
-    attaches them all to the same stack: a fault plane with zero specs,
+    The guard the per-plane variants above are folded into: it attaches
+    every plane to the same stack: a fault plane with zero specs,
     inert client caches, the disabled GridFTP session pool, one idle
     PollMux per site, a disabled router carrying the full self-healing
     configuration, a notify queue with every gatekeeper incapable, MVCC
@@ -327,6 +294,7 @@ def test_goldens_unchanged_with_every_plane_attached(name, monkeypatch):
     )
     from repro.telemetry.fleet import ControlTower
     from repro.telemetry.profiler import KernelProfiler
+    from repro.telemetry.events import bus as telemetry_bus
     from repro.telemetry.slo import BurnRule, SloSpec
     from repro.ws.router import RequestRouter
 
@@ -405,6 +373,8 @@ def test_goldens_unchanged_with_every_plane_attached(name, monkeypatch):
         f"{name}: the idle healing plane recorded dedup rows"
     assert queues[-1].published == 0, \
         f"{name}: the incapable notify plane published"
+    assert queues[-1].capable_sites == [], \
+        f"{name}: a gatekeeper registered as notify-capable"
     assert queues[-1].db.select(
         JOB_STATES_TABLE, lambda r: True) == [], \
         f"{name}: job_states rows appeared on a faithful run"
@@ -415,4 +385,13 @@ def test_goldens_unchanged_with_every_plane_attached(name, monkeypatch):
         f"{name}: the disabled replica materialized tables"
     assert replicas[-1].backlog() == 0, \
         f"{name}: the disabled replica buffered WAL records"
+    assert replicas[-1].records_applied == 0, \
+        f"{name}: the disabled replica applied WAL records"
+    # The tower actually observed the run (not vacuously pure).  fig8
+    # is upload+generate — no client-side ws.request stream — so the
+    # SLO sample check only applies where that stream exists.
+    requests = telemetry_bus(towers[-1].sim).events("ws.request")
+    if any(ev.get("side") == "client" for ev in requests):
+        assert towers[-1].slo.samples_recorded > 0, \
+            f"{name}: the SLO tracker recorded no samples"
     towers[-1].close()
